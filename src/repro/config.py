@@ -10,7 +10,7 @@ parameters and the interactivity budget (the paper's 500 ms goal).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -227,16 +227,9 @@ class AutopilotConfig:
 
 #: How shard replicas execute: ``"threads"`` keeps every shard engine in
 #: the router's process behind a lock; ``"processes"`` forks one worker
-#: process per shard replica speaking the wire envelope over localhost TCP
+#: process per shard replica speaking the shard wire over localhost TCP
 #: (:mod:`repro.serving.worker`), removing the GIL from the scatter path.
 WORKER_MODES = ("threads", "processes")
-
-#: What the shard-boundary ``handle`` hot path speaks on the wire:
-#: ``"auto"`` prefers the :mod:`repro.net.columnar` binary codec and falls
-#: back to the JSON envelope when the peer cannot negotiate it, ``"json"``
-#: pins the legacy JSON envelope (byte-identical to pre-codec deployments),
-#: ``"binary"`` requires the binary codec and refuses JSON ``handle`` calls.
-WIRE_CODECS = ("auto", "json", "binary")
 
 
 @dataclass
@@ -303,15 +296,9 @@ class ClusterConfig:
         ``"threads"`` (default) serves every shard replica in-process
         behind a :class:`~repro.serving.middleware.SerializedService`
         lock; ``"processes"`` forks one worker process per shard replica
-        (:mod:`repro.serving.worker`) speaking the wire envelope over
+        (:mod:`repro.serving.worker`) speaking the shard wire over
         length-prefixed frames on localhost TCP, so pure-Python shard
         queries execute on real parallel cores.
-    wire_codec:
-        Codec preference for the shard-boundary ``handle`` hot path (one
-        of :data:`WIRE_CODECS`): ``"auto"`` (default) negotiates the
-        binary columnar codec with JSON fallback, ``"json"`` pins the
-        legacy JSON envelope, ``"binary"`` requires the binary codec.
-        Metadata operations always ride JSON regardless.
     worker_port_base:
         First TCP port assigned to worker processes (worker ``i`` binds
         ``worker_port_base + i``); ``0`` (default) lets every worker bind
@@ -368,7 +355,6 @@ class ClusterConfig:
     breaker_threshold: int = 3
     breaker_reset_s: float = 30.0
     worker_mode: str = "threads"
-    wire_codec: str = "auto"
     worker_port_base: int = 0
     worker_spawn_timeout_s: float = 10.0
     rebalance_enabled: bool = False
@@ -377,13 +363,6 @@ class ClusterConfig:
     rebalance_load_samples: int = 4096
     rebalance_drain_timeout_s: float = 30.0
     autopilot: AutopilotConfig = field(default_factory=AutopilotConfig)
-
-    def __post_init__(self) -> None:
-        # ``KyrixConfig.from_dict`` builds this section with
-        # ``ClusterConfig(**data)``, so a round-tripped configuration hands
-        # the nested autopilot section in as a plain dict; coerce it back.
-        if isinstance(self.autopilot, dict):
-            self.autopilot = AutopilotConfig(**self.autopilot)
 
     def validate(self) -> None:
         if self.shard_count < 1:
@@ -410,8 +389,6 @@ class ClusterConfig:
             raise KyrixError("breaker_reset_s must be non-negative")
         if self.worker_mode not in WORKER_MODES:
             raise KyrixError(f"unknown worker mode: {self.worker_mode!r}")
-        if self.wire_codec not in WIRE_CODECS:
-            raise KyrixError(f"unknown wire codec: {self.wire_codec!r}")
         if not 0 <= self.worker_port_base <= 65535:
             raise KyrixError(
                 f"worker_port_base must be in [0, 65535], got {self.worker_port_base}"
@@ -513,23 +490,13 @@ class KyrixConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "KyrixConfig":
-        """Build a configuration from a (possibly partial) dictionary."""
-        known = dict(data)
-        storage = StorageConfig(**known.pop("storage", {}))
-        network = NetworkConfig(**known.pop("network", {}))
-        cache = CacheConfig(**known.pop("cache", {}))
-        prefetch = PrefetchConfig(**known.pop("prefetch", {}))
-        cluster = ClusterConfig(**known.pop("cluster", {}))
-        telemetry = TelemetryConfig(**known.pop("telemetry", {}))
-        config = cls(
-            storage=storage,
-            network=network,
-            cache=cache,
-            prefetch=prefetch,
-            cluster=cluster,
-            telemetry=telemetry,
-            **known,
-        )
+        """Build a configuration from a (possibly partial) dictionary.
+
+        Raises :class:`KyrixError` naming ``section.key`` for a key no
+        section declares (such as one a removed option left in a saved
+        configuration).
+        """
+        config = cls(**_section_kwargs(cls, data, ""))
         config.validate()
         return config
 
@@ -547,3 +514,28 @@ class KyrixConfig:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json())
+
+
+def _section_kwargs(cls: type, data: Any, path: str) -> dict[str, Any]:
+    """Constructor arguments of config dataclass ``cls`` from ``data``.
+
+    Nested sections are built recursively; a key ``cls`` does not declare
+    raises :class:`KyrixError` naming its dotted ``path``.
+    """
+    if not isinstance(data, dict):
+        raise KyrixError(
+            f"config section {path or '<root>'!r} must be a mapping, "
+            f"got {type(data).__name__}"
+        )
+    declared = {spec.name: spec for spec in fields(cls)}
+    kwargs: dict[str, Any] = {}
+    for key, value in data.items():
+        name = f"{path}.{key}" if path else str(key)
+        spec = declared.get(key)
+        if spec is None:
+            raise KyrixError(f"unknown config key {name!r}")
+        section = spec.default_factory
+        if is_dataclass(section):
+            value = section(**_section_kwargs(section, value, name))
+        kwargs[key] = value
+    return kwargs

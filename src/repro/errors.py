@@ -226,8 +226,10 @@ class ProtocolViolationError(TruncatedFrameError):
     """The peer broke the one-frame-out/one-frame-back conversation.
 
     Raised by :func:`~repro.net.socket_transport.read_frame` when a peer
-    sends *extra* frames for a single round-trip — a protocol violation by
-    a live, chatty peer, not a stream that died mid-frame.  Subclasses
+    sends *extra* frames for a single round-trip, and by
+    :class:`~repro.net.socket_transport.SocketTransport` when a reply
+    echoes another request's number — a protocol violation by a live,
+    chatty peer, not a stream that died mid-frame.  Subclasses
     :class:`TruncatedFrameError` for compatibility with callers that treat
     any framing failure as a desynchronised connection.
     """

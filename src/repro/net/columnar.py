@@ -1,32 +1,28 @@
 """Binary columnar wire codec for shard conversations.
 
-The JSON envelope (:mod:`repro.serving.transport`) made shard calls
-wire-faithful, but every scatter pays ``DataResponse`` ⇄ JSON text both
-ways — the dominant per-step cost for wide responses (ROADMAP open item 2).
-This module is the compact alternative: requests and responses cross as
-packed binary messages, with each response's objects laid out as **typed
+The shard boundary's one codec.  Requests and responses cross as packed
+binary messages, with each response's objects laid out as **typed
 columns** (int / float / str / tuple-of-float bbox) instead of repeating
-every column name and textual value per row.
+every column name and textual value per row.  The JSON encoding of
+:mod:`repro.net.protocol` stays the frontend protocol and the reference
+this codec is tested against: decoding a binary message yields exactly
+what decoding the JSON form yields.
 
-Framing and negotiation
------------------------
-The length-prefixed transport (:mod:`repro.net.socket_transport`) is
-unchanged; this codec only redefines the frame *payload*.  Every new-style
-payload starts with a one-byte codec tag:
+Framing
+-------
+The length-prefixed transport (:mod:`repro.net.socket_transport`) carries
+byte payloads; this module defines what is inside them.  Every payload
+starts with a one-byte frame tag:
 
-* ``H`` — a negotiation hello.  The client offers its codec preference
-  (``{"codecs": ["binary", "json"]}``); the server answers with the first
-  offered codec it accepts (``{"codec": "binary"}``).
-* ``B`` — a binary message (request, response or error; see below).
-* ``J`` — a JSON envelope, byte-identical to the legacy payload after the
-  tag.
+* ``B`` — a binary message (request, response or error; see below).  The
+  ``handle`` hot path always crosses this way.
+* ``J`` — a JSON envelope (:mod:`repro.serving.transport`), for the
+  metadata operations ``warm``, ``canvas_info`` and ``layer_density``.
 
-A payload starting with ``{`` is a **legacy untagged JSON envelope**: new
-servers answer it with an untagged JSON reply, and a client whose hello is
-answered with untagged JSON (a legacy server choking on the ``H`` frame)
-marks the connection legacy and falls back to untagged JSON — so mixed-
-version peers interoperate in both directions, as do clusters whose router
-and workers negotiate different codecs per connection.
+There is no negotiation: router and workers are built from one tree and
+speak exactly this framing.  A payload with any other first byte
+(including an empty one) is answered with a typed error reply, never
+guessed at.
 
 Binary messages
 ---------------
@@ -34,12 +30,12 @@ After the ``B`` tag, one kind byte selects the message:
 
 * ``MSG_REQUEST`` — a packed :class:`~repro.net.protocol.DataRequest`
   (the ``handle`` hot path; metadata operations stay JSON envelopes).
-  A trace context rides the message exactly as it rides the JSON wire
-  form: stamped at encode time, popped server-side before the request
+  A trace context rides the message as the request's ``trace`` field:
+  stamped at encode time, popped server-side before the request
   object is rebuilt, so caches never see it.
 * ``MSG_RESPONSE`` — a packed :class:`~repro.net.protocol.DataResponse`:
   scalar fields, the per-shard timing map, remotely-collected trace spans
-  (a JSON blob, exactly the envelope's ``trace`` field), and the objects
+  (a JSON blob, the response's ``trace`` field), and the objects
   as a columnar block.
 * ``MSG_ERROR`` — an exception type name and message, the binary peer of
   :func:`repro.serving.transport.encode_error`.
@@ -49,9 +45,10 @@ presence bitmap (key absent vs present), a null bitmap, then the packed
 values of the present non-null rows in row order.  Columns that are not
 homogeneously typed — or hold values with no fixed-width representation —
 fall back to per-cell canonical JSON, decoded through the same recursive
-canonicalisation as the JSON wire path, so **decoded payloads are
-identical across codecs** and ``decode(encode(r)) == r`` holds for every
-response the JSON codec can carry (and some it cannot, e.g. NaN floats).
+canonicalisation as :meth:`DataResponse.from_json`, so **decoded payloads
+are identical to the JSON protocol's** and ``decode(encode(r)) == r``
+holds for every response the JSON protocol can carry (and some it cannot,
+e.g. NaN floats).
 
 Integers outside the signed 64-bit range and mixed int/float columns use
 the JSON fallback deliberately: packing them as doubles would round or
@@ -77,33 +74,31 @@ __all__ = [
     "CODEC_BINARY",
     "CODEC_JSON",
     "TAG_BINARY",
-    "TAG_HELLO",
     "TAG_JSON",
     "MSG_ERROR",
     "MSG_REQUEST",
     "MSG_RESPONSE",
-    "answer_hello",
-    "codec_preference",
     "decode_error",
     "decode_request",
     "decode_response",
     "encode_error",
-    "encode_hello",
     "encode_request",
     "encode_response",
     "message_kind",
-    "negotiate_codec",
-    "parse_hello_reply",
+    "split_frame",
+    "tag_frame",
 ]
 
-#: Codec names as they appear in hellos and ``cluster.wire_codec``.
+#: The two payload kinds a frame carries, as ``exchange(codec, body)``
+#: names them.
 CODEC_BINARY = "binary"
 CODEC_JSON = "json"
 
-#: One-byte codec tags prefixed to every new-style frame payload.
-TAG_HELLO = b"H"
+#: One-byte tags prefixed to every frame payload.
 TAG_JSON = b"J"
 TAG_BINARY = b"B"
+_TAGS = {CODEC_BINARY: TAG_BINARY, CODEC_JSON: TAG_JSON}
+_CODECS = {tag: codec for codec, tag in _TAGS.items()}
 
 #: Binary message kinds (the byte after the ``B`` tag).
 MSG_REQUEST = 1
@@ -128,77 +123,31 @@ _I64_MAX = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
-# Codec negotiation
+# Frame tags
 # ---------------------------------------------------------------------------
 
 
-def codec_preference(mode: str) -> tuple[str, ...]:
-    """The codec preference list for a ``cluster.wire_codec`` mode.
-
-    ``auto`` prefers binary with JSON fallback; ``binary`` and ``json``
-    pin the single codec (a ``json`` peer also keeps legacy untagged
-    framing, so it interoperates with pre-codec peers byte-for-byte).
-    """
-    if mode == CODEC_JSON:
-        return (CODEC_JSON,)
-    if mode == CODEC_BINARY:
-        return (CODEC_BINARY,)
-    return (CODEC_BINARY, CODEC_JSON)
-
-
-def negotiate_codec(
-    preference: tuple[str, ...], allowed: tuple[str, ...]
-) -> str | None:
-    """The first client-preferred codec the server accepts, or ``None``."""
-    for name in preference:
-        if name in allowed:
-            return name
-    return None
-
-
-def encode_hello(preference: tuple[str, ...]) -> bytes:
-    """The client's negotiation frame payload (tag included)."""
-    return TAG_HELLO + json.dumps(
-        {"codecs": list(preference)}, sort_keys=True
-    ).encode("utf-8")
-
-
-def answer_hello(body: bytes, allowed: tuple[str, ...]) -> bytes:
-    """The server's reply payload (tag included) to a hello ``body``."""
+def tag_frame(codec: str, body: bytes) -> bytes:
+    """The frame payload carrying ``body`` under ``codec`` (tag prefixed)."""
     try:
-        offered = json.loads(body.decode("utf-8")).get("codecs") or []
-    except (ValueError, UnicodeDecodeError, AttributeError):
-        offered = []
-    chosen = negotiate_codec(tuple(offered), allowed)
-    if chosen is None:
-        reply = {"codecs": list(allowed), "error": "no common wire codec"}
-    else:
-        reply = {"codec": chosen}
-    return TAG_HELLO + json.dumps(reply, sort_keys=True).encode("utf-8")
+        return _TAGS[codec] + body
+    except KeyError:
+        raise ProtocolError(f"unknown wire codec {codec!r}") from None
 
 
-def parse_hello_reply(payload: bytes) -> str | None:
-    """The codec a hello reply selected.
+def split_frame(payload: bytes) -> tuple[str, bytes]:
+    """The ``(codec, body)`` of one tagged frame payload.
 
-    Returns ``None`` when the peer is a legacy JSON server that answered
-    the hello with an untagged JSON error envelope (it cannot speak tagged
-    frames at all); raises :class:`~repro.errors.ProtocolError` when the
-    peer understood the hello but accepts no offered codec.
+    Raises :class:`~repro.errors.ProtocolError` naming the tag when the
+    first byte is neither ``B`` nor ``J`` (or the payload is empty).
     """
-    if payload[:1] != TAG_HELLO:
-        return None
-    try:
-        data = json.loads(payload[1:].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
-        raise ProtocolError(f"malformed hello reply: {error}") from error
-    codec = data.get("codec")
-    if isinstance(codec, str):
-        return codec
-    raise ProtocolError(
-        "codec negotiation failed: "
-        f"{data.get('error', 'no codec selected')} "
-        f"(server accepts {data.get('codecs')})"
-    )
+    codec = _CODECS.get(payload[:1])
+    if codec is None:
+        raise ProtocolError(
+            f"unknown frame tag {payload[:1]!r} (expected {TAG_BINARY!r} or "
+            f"{TAG_JSON!r})"
+        )
+    return codec, payload[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +194,9 @@ class _Reader:
         self._data = data
         self._offset = 0
 
+    def remaining(self) -> int:
+        return len(self._data) - self._offset
+
     def raw(self, size: int) -> bytes:
         end = self._offset + size
         if size < 0 or end > len(self._data):
@@ -281,6 +233,12 @@ class _Reader:
     def opt_f64(self) -> float | None:
         return self.f64() if self.u8() else None
 
+    def json_value(self) -> Any:
+        try:
+            return json.loads(self.text())
+        except ValueError as error:
+            raise ProtocolError(f"binary message holds invalid JSON: {error}") from error
+
     def json_or_none(self) -> Any:
         length = self.u32()
         if length == 0:
@@ -291,10 +249,9 @@ class _Reader:
             raise ProtocolError(f"binary message holds invalid JSON: {error}") from error
 
     def expect_end(self) -> None:
-        if self._offset != len(self._data):
+        if self.remaining():
             raise ProtocolError(
-                f"binary message has {len(self._data) - self._offset} "
-                "trailing byte(s)"
+                f"binary message has {self.remaining()} trailing byte(s)"
             )
 
 
@@ -310,7 +267,7 @@ def _pack_request(
 
     ``trace`` overrides the request's own ``trace`` field for this one
     encoding — the transport stub stamps the caller's context onto the
-    wire form only, exactly as the JSON path does.
+    wire form only, never onto the caller's request.
     """
     _w_text(out, request.app_name)
     _w_text(out, request.canvas_id)
@@ -361,7 +318,7 @@ def decode_request(body: bytes) -> tuple[DataRequest, dict[str, Any] | None]:
 
     The trace context is popped off the rebuilt request — server-side
     caches and responses must stay identical whether or not the caller
-    traces, matching the JSON path's lift-before-rebuild.
+    traces.
     """
     reader = _Reader(body)
     kind = reader.u8()
@@ -459,8 +416,14 @@ def _encode_objects(out: bytearray, objects: list[dict[str, Any]]) -> None:
 def _decode_objects(reader: _Reader) -> list[dict[str, Any]]:
     n_rows = reader.u32()
     n_cols = reader.u32()
-    objects: list[dict[str, Any]] = [{} for _ in range(n_rows)]
     bitmap_size = (n_rows + 7) // 8
+    if n_cols and 2 * bitmap_size > reader.remaining():
+        # A corrupt row count must not allocate rows the message cannot hold.
+        raise ProtocolError(
+            f"binary message truncated: {n_rows} row(s) need "
+            f"{2 * bitmap_size} bitmap byte(s), {reader.remaining()} left"
+        )
+    objects: list[dict[str, Any]] = [{} for _ in range(n_rows)]
     for _ in range(n_cols):
         name = reader.text()
         tag = reader.u8()
@@ -488,7 +451,7 @@ def _decode_objects(reader: _Reader) -> list[dict[str, Any]]:
                 size = reader.u8()
                 values.append(struct.unpack(f">{size}d", reader.raw(8 * size)))
         elif tag == COL_JSON:
-            values = [_canonical_value(json.loads(reader.text())) for _ in range(count)]
+            values = [_canonical_value(reader.json_value()) for _ in range(count)]
         else:
             raise ProtocolError(f"unknown column type tag {tag}")
         cursor = iter(values)
@@ -511,8 +474,8 @@ def encode_response(
     """Encode one response as a binary message body (no tag).
 
     ``trace`` overrides the response's own span list for this one
-    encoding, exactly like :meth:`DataResponse.to_json` — transports ship
-    remotely-collected spans home without mutating a cached response.
+    encoding — transports ship remotely-collected spans home without
+    mutating a cached response.
     """
     out = bytearray()
     out += _U8.pack(MSG_RESPONSE)

@@ -158,13 +158,8 @@ class DataResponse:
     def object_count(self) -> int:
         return len(self.objects)
 
-    def to_json(self, *, trace: list[dict[str, Any]] | None = None) -> str:
-        """Canonical JSON encoding.
-
-        ``trace`` overrides the response's own span list for this one
-        encoding — transports use it to ship remotely-collected spans home
-        without mutating a response object that may live in a cache.
-        """
+    def to_json(self) -> str:
+        """Canonical JSON encoding."""
         return json.dumps(
             {
                 "request": asdict(self.request),
@@ -174,7 +169,7 @@ class DataResponse:
                 "queries_issued": self.queries_issued,
                 "shard_ms": self.shard_ms,
                 "coalesced": self.coalesced,
-                "trace": self.trace if trace is None else trace,
+                "trace": self.trace,
             },
             sort_keys=True,
             default=_reject_unencodable,

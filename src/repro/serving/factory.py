@@ -69,7 +69,6 @@ def build_service(
     replicas: int | None = None,
     replica_policy: str | None = None,
     worker_mode: str | None = None,
-    wire_codec: str | None = None,
     rebalance: bool | None = None,
     autopilot: bool | None = None,
     telemetry: bool | None = None,
@@ -107,12 +106,6 @@ def build_service(
         ``"processes"`` forks one worker process per shard replica behind
         a socket transport (:mod:`repro.serving.worker`) instead of the
         in-process thread topology.  Only meaningful for sharded stacks.
-    wire_codec:
-        Per-build override of ``config.cluster.wire_codec``: what the
-        shard-boundary ``handle`` hot path speaks (``"auto"`` negotiates
-        the :mod:`repro.net.columnar` binary codec with JSON fallback,
-        ``"json"`` pins the legacy envelope, ``"binary"`` requires the
-        binary codec).  Only meaningful for sharded wire-level stacks.
     rebalance:
         Per-build override of ``config.cluster.rebalance_enabled``: when
         true the built cluster carries a
@@ -170,7 +163,6 @@ def build_service(
             replicas=replicas,
             replica_policy=replica_policy,
             worker_mode=worker_mode,
-            wire_codec=wire_codec,
             rebalance=rebalance,
             autopilot=autopilot,
             telemetry=telemetry,

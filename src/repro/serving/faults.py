@@ -16,9 +16,10 @@ first-class seam rather than ad-hoc monkeypatching: both the test suites and
   latencies are simulated, not slept), corruption faults replace the
   response payload with a recognisably wrong one.
 * :class:`FaultInjectingTransport` — the same idea one level down, on the
-  :class:`~repro.serving.transport.ShardTransport` wire: error faults raise
-  before the envelope is delivered (a dead connection), corruption faults
-  garble the reply bytes so the client-side decode fails.
+  :class:`~repro.serving.transport.ShardTransport` wire (schedule op
+  ``"exchange"``): error faults raise before the frame is delivered (a
+  dead connection), corruption faults garble the reply body so the
+  client-side decode fails typed.
 
 :func:`fault_replica` is the convenience hook tests and benchmarks use to
 wrap one replica of a built cluster in place (via the
@@ -235,10 +236,11 @@ class FaultInjectingService(ServiceMiddleware):
 class FaultInjectingTransport:
     """A :class:`~repro.serving.transport.ShardTransport` that injects faults.
 
-    Error faults raise before delivery (the connection died); latency
-    faults charge the virtual clock per round-trip; corruption faults
-    garble the reply text so the client-side JSON decode blows up — the
-    three failure shapes a networked shard actually exhibits.
+    Wraps ``exchange(codec, body)``, consulting the schedule under op
+    ``"exchange"``.  Error faults raise before delivery (the connection
+    died); latency faults charge the virtual clock per round-trip;
+    corruption faults garble the reply body so the client-side decode
+    fails — the three failure shapes a networked shard actually exhibits.
     """
 
     def __init__(
@@ -252,8 +254,8 @@ class FaultInjectingTransport:
         self.schedule = schedule
         self.clock = clock
 
-    def roundtrip(self, payload: str) -> str:
-        rules = self.schedule.consult("roundtrip")
+    def exchange(self, codec: str, body: bytes) -> tuple[str, bytes]:
+        rules = self.schedule.consult("exchange")
         _record_fault_events(rules, seam="transport")
         for rule in rules:
             if rule.kind == "latency" and self.clock is not None:
@@ -261,10 +263,10 @@ class FaultInjectingTransport:
         for rule in rules:
             if rule.kind == "error":
                 raise InjectedFaultError(rule.message)
-        reply = self.inner.roundtrip(payload)
+        reply_codec, reply = self.inner.exchange(codec, body)
         if any(rule.kind == "corrupt" for rule in rules):
-            return "<<corrupted envelope>>" + reply[:16]
-        return reply
+            return reply_codec, b"<<corrupted frame>>" + reply[:16]
+        return reply_codec, reply
 
     def close(self) -> None:
         self.inner.close()

@@ -1,11 +1,10 @@
-"""Cross-codec parity: json, binary and auto serve byte-identical payloads.
+"""Wire parity: the binary shard wire serves byte-identical payloads.
 
 The binary columnar codec (:mod:`repro.net.columnar`) only redefines how
 bytes cross the shard boundary — never *which* decoded payload comes back.
 This suite proves it across the wire-level topologies (in-process wire
-stubs and forked worker processes), across mixed-codec clusters where one
-side cannot speak binary (negotiation must fall back, not fail), and under
-real worker kills with the binary codec negotiated.
+stubs and forked worker processes) against an in-process cluster with no
+wire at all, and under real worker kills.
 """
 
 from __future__ import annotations
@@ -13,16 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import build_cluster
-from repro.errors import ProtocolError
 from repro.net.protocol import DataRequest
-from repro.serving import (
-    LocalTransport,
-    RemoteBackendStub,
-    WorkerPool,
-    build_shard_spec,
-    collect_wire_stats,
-    kill_worker,
-)
+from repro.serving import collect_wire_stats, kill_worker
 
 from tests.cluster.conftest import parity_requests, payload_bytes
 
@@ -38,112 +29,25 @@ def test_codecs_serve_byte_identical_payloads(eeg_parity_stack, topology):
     requests = parity_requests(stack)
     payloads: dict[str, list[bytes]] = {}
     wire_bytes: dict[str, int] = {}
-    for codec in ("json", "binary", "auto"):
+    for name, options in (
+        ("in-process", {"worker_mode": "threads", "wire_shards": False}),
+        (topology, WIRE_TOPOLOGIES[topology]),
+    ):
         cluster = build_cluster(
-            stack.backend,
-            shard_count=2,
-            tile_sizes=stack.tile_sizes,
-            wire_codec=codec,
-            **WIRE_TOPOLOGIES[topology],
+            stack.backend, shard_count=2, tile_sizes=stack.tile_sizes, **options
         )
         try:
-            payloads[codec] = [
+            payloads[name] = [
                 payload_bytes(cluster.router.handle(r)) for r in requests
             ]
-            wire_bytes[codec] = collect_wire_stats(cluster.router).bytes_total
+            wire_bytes[name] = collect_wire_stats(cluster.router).bytes_total
         finally:
             cluster.close()
-    assert any(payload != b"[]" for payload in payloads["json"])
-    # Decoded payloads are the law: byte-identical across every codec.
-    assert payloads["binary"] == payloads["json"]
-    assert payloads["auto"] == payloads["json"]
-    # The codec's reason to exist: the same payloads cost fewer wire bytes.
-    assert 0 < wire_bytes["binary"] < wire_bytes["json"]
-    assert wire_bytes["auto"] == wire_bytes["binary"]
-
-
-class TestMixedCodecClusters:
-    """One side cannot speak binary: negotiation falls back, payloads agree."""
-
-    def _expected(self, dots_stack, requests):
-        return [payload_bytes(dots_stack.backend.handle(r)) for r in requests]
-
-    def _requests(self, dots_stack):
-        return [
-            DataRequest(
-                app_name=dots_stack.compiled.app_name,
-                canvas_id="dots",
-                layer_index=0,
-                granularity="box",
-                xmin=0.0,
-                ymin=0.0,
-                xmax=1000.0 + nudge,
-                ymax=2000.0,
-            )
-            for nudge in range(3)
-        ]
-
-    def test_binary_router_against_json_only_worker_falls_back(self, dots_stack):
-        spec = build_shard_spec(
-            dots_stack.database,
-            dots_stack.compiled,
-            dots_stack.backend.config,
-            shard_id=0,
-            codecs=("json",),
-        )
-        pool = WorkerPool([spec])
-        pool.start()
-        try:
-            transport = pool.handle_for(0).transport()
-            stub = RemoteBackendStub(
-                transport,
-                dots_stack.compiled,
-                dots_stack.backend.config,
-                codecs=("binary", "json"),
-            )
-            requests = self._requests(dots_stack)
-            served = [payload_bytes(stub.handle(r)) for r in requests]
-            assert served == self._expected(dots_stack, requests)
-            # The hello really fell back: the connection negotiated JSON.
-            assert transport.negotiate(("binary", "json")) == "json"
-            stub.close()
-        finally:
-            pool.close()
-
-    def test_json_pinned_router_against_binary_capable_worker(self, dots_stack):
-        spec = build_shard_spec(
-            dots_stack.database,
-            dots_stack.compiled,
-            dots_stack.backend.config,
-            shard_id=0,
-            codecs=("binary", "json"),
-        )
-        pool = WorkerPool([spec])
-        pool.start()
-        try:
-            transport = pool.handle_for(0).transport()
-            stub = RemoteBackendStub(
-                transport,
-                dots_stack.compiled,
-                dots_stack.backend.config,
-                codecs=("json",),
-            )
-            requests = self._requests(dots_stack)
-            served = [payload_bytes(stub.handle(r)) for r in requests]
-            assert served == self._expected(dots_stack, requests)
-            # A json-pinned client never sends a hello: its wire stays the
-            # legacy untagged framing against old and new servers alike.
-            assert transport.negotiate(("json",)) == "json"
-            stub.close()
-        finally:
-            pool.close()
-
-    def test_binary_pinned_client_against_json_only_endpoint_is_typed(
-        self, dots_stack
-    ):
-        server = LocalTransport(dots_stack.backend, codecs=("json",))
-        with pytest.raises(ProtocolError, match="negotiation failed"):
-            server.negotiate(("binary",))
+    assert any(payload != b"[]" for payload in payloads["in-process"])
+    # Decoded payloads are the law: byte-identical with and without a wire.
+    assert payloads[topology] == payloads["in-process"]
+    assert wire_bytes["in-process"] == 0
+    assert wire_bytes[topology] > 0
 
 
 def test_killed_worker_fails_over_under_the_binary_codec(dots_stack):
@@ -165,7 +69,6 @@ def test_killed_worker_fails_over_under_the_binary_codec(dots_stack):
         shard_count=2,
         replicas=2,
         worker_mode="processes",
-        wire_codec="binary",
     )
     try:
         requests = [box(i) for i in range(4)]
@@ -177,8 +80,7 @@ def test_killed_worker_fails_over_under_the_binary_codec(dots_stack):
 
         degraded = [payload_bytes(cluster.router.handle(r)) for r in requests]
         assert degraded == expected, "binary-codec failover changed the payload"
-        # The surviving replica's connection renegotiated after failover
-        # traffic; the stub accounting proves binary frames moved.
+        # The stub accounting proves binary frames moved on the survivor.
         assert collect_wire_stats(cluster.router).calls > 0
     finally:
         cluster.close()

@@ -62,6 +62,29 @@ class TestConfig:
         with pytest.raises(KyrixError):
             KyrixConfig.from_dict(bad)
 
+    @pytest.mark.parametrize(
+        "stale, name",
+        [
+            # A key an earlier version saved: the shard wire codec option.
+            ({"cluster": {"wire_codec": "auto"}}, "cluster.wire_codec"),
+            ({"bogus": 1}, "bogus"),
+            ({"cluster": {"autopilot": {"bogus": 1}}}, "cluster.autopilot.bogus"),
+        ],
+    )
+    def test_unknown_keys_are_typed_errors_naming_the_key(self, stale, name):
+        with pytest.raises(KyrixError, match=f"unknown config key '{name}'"):
+            KyrixConfig.from_dict(stale)
+
+    def test_section_must_be_a_mapping(self):
+        with pytest.raises(KyrixError, match="'cluster' must be a mapping"):
+            KyrixConfig.from_dict({"cluster": 3})
+
+    def test_nested_sections_round_trip(self):
+        config = KyrixConfig()
+        config.cluster.autopilot.enabled = True
+        restored = KyrixConfig.from_dict(config.to_dict())
+        assert restored == config
+
     def test_storage_config_validation(self):
         with pytest.raises(KyrixError):
             StorageConfig(buffer_pool_pages=2).validate()

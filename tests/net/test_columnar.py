@@ -4,8 +4,9 @@ Covers the three bugfix regressions of this change set — ``default=str``
 coercion removed from the JSON encoder, recursive canonicalisation of
 nested sequence columns, and chatty peers raising
 :class:`~repro.errors.ProtocolViolationError` instead of blaming a
-truncated stream — plus the codec's own round-trips, negotiation, and the
-typed fallbacks that keep it lossless.
+truncated stream — plus the request numbers that keep a stray frame from
+answering another request, the codec's own round-trips, its frame tags,
+and the typed fallbacks that keep it lossless.
 """
 
 from __future__ import annotations
@@ -24,7 +25,15 @@ from repro.errors import (
 )
 from repro.net import columnar
 from repro.net.protocol import DataRequest, DataResponse
-from repro.net.socket_transport import encode_frame, read_frame, write_frame
+from repro.net.socket_transport import (
+    SocketTransport,
+    encode_frame,
+    read_frame,
+    serve_connection,
+    split_sequence,
+    stamp_sequence,
+    write_frame,
+)
 
 
 def box_request(**overrides):
@@ -109,7 +118,7 @@ class TestLosslessWireBugfixes:
         assert issubclass(ProtocolViolationError, TruncatedFrameError)
         client, peer = socket.socketpair()
         try:
-            peer.sendall(encode_frame("one") + encode_frame("two"))
+            peer.sendall(encode_frame(b"one") + encode_frame(b"two"))
             with pytest.raises(ProtocolViolationError, match="more than one frame"):
                 read_frame(client)
         finally:
@@ -117,26 +126,31 @@ class TestLosslessWireBugfixes:
             peer.close()
 
     def test_socket_transport_names_the_violation(self):
-        from repro.net.socket_transport import SocketTransport
-
         listener = socket.create_server(("127.0.0.1", 0))
         port = listener.getsockname()[1]
 
         def chatty_server():
             conn, _ = listener.accept()
             with conn:
+                sequence, _ = split_sequence(read_frame(conn))
+                write_frame(conn, stamp_sequence(sequence, b"Jfirst"))
+                write_frame(conn, stamp_sequence(sequence, b"Jsecond"))
                 read_frame(conn)
-                write_frame(conn, "first")
-                write_frame(conn, "second")
 
         thread = threading.Thread(target=chatty_server, daemon=True)
         thread.start()
         transport = SocketTransport("127.0.0.1", port)
+        replies = []
         try:
+            # The second frame is caught by the round-trip it lands in:
+            # the first, if it arrives with the first frame, else the next
+            # one, which it would otherwise answer.
             with pytest.raises(
                 WorkerConnectionError, match="violated the framing protocol"
             ):
-                transport.roundtrip("hello?")
+                replies.append(transport.exchange("json", b"hello?"))
+                replies.append(transport.exchange("json", b"again?"))
+            assert replies in ([], [("json", b"first")])
         finally:
             transport.close()
             listener.close()
@@ -144,42 +158,99 @@ class TestLosslessWireBugfixes:
 
 
 # ---------------------------------------------------------------------------
-# Negotiation
+# Request numbers
 # ---------------------------------------------------------------------------
 
 
-class TestNegotiation:
-    def test_codec_preference_maps_modes(self):
-        assert columnar.codec_preference("auto") == ("binary", "json")
-        assert columnar.codec_preference("binary") == ("binary",)
-        assert columnar.codec_preference("json") == ("json",)
+def _serve_once(listener, reply):
+    """Accept one connection and answer its first frame with
+    ``reply(sequence)``; returns the thread doing it."""
 
-    def test_hello_picks_first_preferred_codec_the_server_accepts(self):
-        hello = columnar.encode_hello(("binary", "json"))
-        assert hello[:1] == columnar.TAG_HELLO
-        reply = columnar.answer_hello(hello[1:], ("binary", "json"))
-        assert columnar.parse_hello_reply(reply) == "binary"
+    def server():
+        conn, _ = listener.accept()
+        with conn:
+            sequence, _ = split_sequence(read_frame(conn))
+            write_frame(conn, reply(sequence))
 
-    def test_hello_falls_back_to_the_servers_codec(self):
-        hello = columnar.encode_hello(("binary", "json"))
-        reply = columnar.answer_hello(hello[1:], ("json",))
-        assert columnar.parse_hello_reply(reply) == "json"
+    thread = threading.Thread(target=server, daemon=True)
+    thread.start()
+    return thread
 
-    def test_no_common_codec_is_a_typed_failure(self):
-        hello = columnar.encode_hello(("binary",))
-        reply = columnar.answer_hello(hello[1:], ("json",))
-        with pytest.raises(ProtocolError, match="no common wire codec"):
-            columnar.parse_hello_reply(reply)
 
-    def test_legacy_untagged_reply_reads_as_no_negotiation(self):
-        # A pre-codec server answers the hello with an untagged JSON error
-        # envelope: the client must fall back, not crash.
-        assert columnar.parse_hello_reply(b'{"ok": false}') is None
+class TestRequestNumbers:
+    def test_stamp_then_split_is_identity(self):
+        assert split_sequence(stamp_sequence(7, b"Jbody")) == (7, b"Jbody")
 
-    def test_garbage_hello_body_negotiates_nothing(self):
-        reply = columnar.answer_hello(b"\xff\xfe", ("binary", "json"))
-        with pytest.raises(ProtocolError):
-            columnar.parse_hello_reply(reply)
+    @pytest.mark.parametrize("payload", [b"", b"J", b"Jab"])
+    def test_frame_without_a_number_is_a_violation(self, payload):
+        with pytest.raises(ProtocolViolationError, match="no request number"):
+            split_sequence(payload)
+
+    def test_reply_to_another_request_tears_the_connection_down(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        transport = SocketTransport("127.0.0.1", port)
+        try:
+            stale = _serve_once(
+                listener, lambda sequence: stamp_sequence(sequence - 1, b"Jstale")
+            )
+            with pytest.raises(
+                WorkerConnectionError,
+                match="violated the framing protocol: reply to request 0 "
+                "arrived for request 1",
+            ):
+                transport.exchange("json", b"first")
+            stale.join(timeout=5.0)
+            # The next round-trip reconnects and is answered normally.
+            honest = _serve_once(
+                listener, lambda sequence: stamp_sequence(sequence, b"Jfresh")
+            )
+            assert transport.exchange("json", b"second") == ("json", b"fresh")
+            honest.join(timeout=5.0)
+        finally:
+            transport.close()
+            listener.close()
+
+    def test_server_echoes_the_number_and_drops_unnumbered_frames(self):
+        client, peer = socket.socketpair()
+        client.settimeout(5.0)
+
+        def server():
+            with peer:
+                for _ in serve_connection(peer, lambda body: b"J" + body):
+                    pass
+
+        thread = threading.Thread(target=server, daemon=True)
+        thread.start()
+        try:
+            write_frame(client, stamp_sequence(41, b"ping"))
+            assert split_sequence(read_frame(client)) == (41, b"Jping")
+            write_frame(client, b"no")
+            assert read_frame(client) is None
+        finally:
+            thread.join(timeout=5.0)
+            client.close()
+
+
+# ---------------------------------------------------------------------------
+# Frame tags
+# ---------------------------------------------------------------------------
+
+
+class TestFrameTags:
+    @pytest.mark.parametrize("codec", ["binary", "json"])
+    def test_tag_then_split_is_identity(self, codec):
+        body = b"\x00payload\xff"
+        assert columnar.split_frame(columnar.tag_frame(codec, body)) == (codec, body)
+
+    @pytest.mark.parametrize("payload", [b"", b"H{}", b'{"op": "warm"}'])
+    def test_unknown_tag_is_a_typed_error_naming_it(self, payload):
+        with pytest.raises(ProtocolError, match="unknown frame tag"):
+            columnar.split_frame(payload)
+
+    def test_unknown_codec_cannot_be_tagged(self):
+        with pytest.raises(ProtocolError, match="unknown wire codec"):
+            columnar.tag_frame("xml", b"")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +297,7 @@ class TestRequestRoundTrip:
 # ---------------------------------------------------------------------------
 
 
-def roundtrip(resp):
+def _via_binary(resp):
     decoded, spans = columnar.decode_response(columnar.encode_response(resp))
     assert spans == []
     return decoded
@@ -244,10 +315,10 @@ class TestResponseRoundTrip:
             }
             for row in range(10)
         ]
-        assert roundtrip(response(objects)) == response(objects)
+        assert _via_binary(response(objects)) == response(objects)
 
     def test_scalar_fields_and_shard_ms_survive(self):
-        decoded = roundtrip(response([]))
+        decoded = _via_binary(response([]))
         assert decoded.query_ms == 1.25
         assert decoded.queries_issued == 2
         assert decoded.coalesced is True
@@ -255,7 +326,7 @@ class TestResponseRoundTrip:
 
     def test_nulls_and_missing_keys_are_distinct(self):
         objects = [{"a": 1, "b": None}, {"a": 2}, {"b": None}]
-        decoded = roundtrip(response(objects))
+        decoded = _via_binary(response(objects))
         assert decoded.objects == objects
         assert "b" not in decoded.objects[1]
 
@@ -263,24 +334,24 @@ class TestResponseRoundTrip:
         # Packing 1 and 1.0 into one numeric column would retype one of
         # them; the codec must fall back to JSON cells instead.
         objects = [{"v": 1}, {"v": 1.0}, {"v": 2}]
-        decoded = roundtrip(response(objects))
+        decoded = _via_binary(response(objects))
         assert decoded.objects == objects
         assert isinstance(decoded.objects[0]["v"], int)
         assert isinstance(decoded.objects[1]["v"], float)
 
     def test_out_of_i64_range_integers_survive(self):
         objects = [{"big": 2**80}, {"big": -(2**70)}]
-        assert roundtrip(response(objects)).objects == objects
+        assert _via_binary(response(objects)).objects == objects
 
     def test_bools_are_not_packed_as_ints(self):
         objects = [{"v": True}, {"v": 1}]
-        decoded = roundtrip(response(objects))
+        decoded = _via_binary(response(objects))
         assert decoded.objects[0]["v"] is True
         assert isinstance(decoded.objects[1]["v"], int)
 
     def test_nested_sequence_columns_roundtrip_canonically(self):
         objects = [{"polygon": ((0.0, 0.0), (1.0, 0.0))}]
-        assert roundtrip(response(objects)).objects == objects
+        assert _via_binary(response(objects)).objects == objects
 
     def test_remote_spans_ride_the_message(self):
         spans = [{"name": "query", "duration_ms": 1.0}]
@@ -297,7 +368,7 @@ class TestResponseRoundTrip:
             {"tuple_id": 8, "label": "s", "nested": ((1.0, 2.0),)},
         ]
         original = response(objects)
-        via_binary = roundtrip(original)
+        via_binary = _via_binary(original)
         via_json = DataResponse.from_json(original.to_json())
         assert via_binary == via_json
         assert via_binary.to_json() == via_json.to_json()
@@ -321,3 +392,26 @@ class TestErrors:
     def test_empty_message_raises(self):
         with pytest.raises(ProtocolError, match="empty"):
             columnar.message_kind(b"")
+
+    def test_corrupt_response_bytes_fail_typed(self):
+        # Every column type, including per-cell JSON.  A corrupt row count
+        # must be rejected before the decoder allocates rows for it.
+        objects = [
+            {
+                "tuple_id": i,
+                "x": i * 1.5,
+                "name": f"n{i}",
+                "flag": i % 2 == 0,
+                "bbox": (0.0, 1.0, 2.0, 3.0),
+                "extra": [i, "mixed"],
+            }
+            for i in range(12)
+        ]
+        body = columnar.encode_response(response(objects))
+        for offset in range(len(body)):
+            for value in (0x00, 0x7F, 0xFF):
+                corrupt = body[:offset] + bytes([value]) + body[offset + 1 :]
+                try:
+                    columnar.decode_response(corrupt)
+                except ProtocolError:
+                    pass

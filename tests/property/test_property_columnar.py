@@ -1,10 +1,10 @@
 """Property suite for the binary columnar codec.
 
 Mirrors ``test_property_protocol.py`` on the binary wire: every request and
-response the JSON envelope can carry must survive the columnar codec
+response the JSON protocol can carry must survive the columnar codec
 unchanged, and — the cross-codec law — decoding the binary form must yield
-exactly what decoding the JSON form yields, so topologies that negotiate
-different codecs still serve byte-identical payloads.
+exactly what decoding the JSON form yields, so the shard wire serves the
+payloads the frontend protocol would.
 """
 
 from __future__ import annotations

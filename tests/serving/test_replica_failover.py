@@ -13,8 +13,9 @@ import threading
 import pytest
 
 from repro.cluster import build_cluster
-from repro.errors import AllReplicasFailedError, ReplicaTimeoutError
+from repro.errors import AllReplicasFailedError, ProtocolError, ReplicaTimeoutError
 from repro.metrics.timer import VirtualClock
+from repro.net import columnar
 from repro.net.protocol import DataRequest, DataResponse
 from repro.serving import (
     FaultInjectingService,
@@ -23,6 +24,7 @@ from repro.serving import (
     FaultSchedule,
     InjectedFaultError,
     ReplicaService,
+    TransportError,
     fault_replica,
     unwrap,
 )
@@ -131,41 +133,103 @@ class TestFaultInjectingService:
         assert clean.objects[0]["source"] == "replica"
 
 
+def _dots_stack_and_request():
+    from repro.bench.apps import build_dots_backend, default_config
+    from repro.datagen.synthetic import tiny_spec
+
+    stack = build_dots_backend(
+        tiny_spec("uniform", num_points=300, seed=3),
+        config=default_config(viewport=256),
+    )
+    request = DataRequest(
+        app_name=stack.compiled.app_name, canvas_id="dots", layer_index=0,
+        granularity="box", xmin=0.0, ymin=0.0, xmax=200.0, ymax=200.0,
+    )
+    return stack, request
+
+
+class _Mangling:
+    """A transport handing back ``mangle(reply_body)`` for every exchange."""
+
+    def __init__(self, inner, mangle):
+        self.inner = inner
+        self.mangle = mangle
+
+    def exchange(self, codec, body):
+        reply_codec, reply = self.inner.exchange(codec, body)
+        return reply_codec, self.mangle(reply)
+
+    def close(self):
+        pass
+
+
 class TestFaultInjectingTransport:
     def test_error_fault_raises_before_delivery(self):
-        from repro.serving.transport import LocalTransport
-
         class _Recorder:
             def __init__(self):
                 self.delivered = 0
 
-            def roundtrip(self, payload):
+            def exchange(self, codec, body):
                 self.delivered += 1
-                return '{"ok": true, "result": null}'
+                return codec, b'{"ok": true, "result": null}'
 
             def close(self):
                 pass
 
         inner = _Recorder()
-        faulty = FaultInjectingTransport(inner, FaultSchedule.fail_always(op="roundtrip"))
+        faulty = FaultInjectingTransport(inner, FaultSchedule.fail_always(op="exchange"))
         with pytest.raises(InjectedFaultError):
-            faulty.roundtrip("{}")
+            faulty.exchange("json", b"{}")
         assert inner.delivered == 0
 
     def test_corruption_fault_garbles_the_reply(self):
         class _Echo:
-            def roundtrip(self, payload):
-                return '{"ok": true, "result": 1}'
+            def exchange(self, codec, body):
+                return codec, b'{"ok": true, "result": 1}'
 
             def close(self):
                 pass
 
         faulty = FaultInjectingTransport(
-            _Echo(), FaultSchedule([FaultRule(kind="corrupt", op="roundtrip")])
+            _Echo(), FaultSchedule([FaultRule(kind="corrupt", op="exchange")])
         )
-        reply = faulty.roundtrip("{}")
+        codec, reply = faulty.exchange("json", b"{}")
+        assert codec == "json"
         with pytest.raises(ValueError):
             json.loads(reply)
+
+    def test_corrupted_binary_reply_raises_typed_through_the_stub(self):
+        from repro.serving.transport import LocalTransport, RemoteBackendStub
+
+        stack, request = _dots_stack_and_request()
+        backend = stack.backend
+        faulty = FaultInjectingTransport(
+            LocalTransport(backend.query_service()),
+            FaultSchedule([FaultRule(kind="corrupt", op="exchange", count=1)]),
+        )
+        stub = RemoteBackendStub(faulty, backend.compiled, backend.config)
+        with pytest.raises(ProtocolError):
+            stub.handle(request)
+        # The fault was one reply: the next exchange decodes cleanly.
+        assert stub.handle(request).objects == backend.handle(request).objects
+
+    def test_truncated_binary_reply_is_typed_at_every_cut(self):
+        from repro.serving.transport import LocalTransport, RemoteBackendStub
+
+        stack, request = _dots_stack_and_request()
+        backend = stack.backend
+        server = LocalTransport(backend.query_service())
+        _, reply = server.exchange("binary", columnar.encode_request(request))
+        assert columnar.message_kind(reply) == columnar.MSG_RESPONSE
+        for cut in range(len(reply)):
+            stub = RemoteBackendStub(
+                _Mangling(server, lambda body, cut=cut: body[:cut]),
+                backend.compiled,
+                backend.config,
+            )
+            # Never a raw struct.error / IndexError from inside the decoder.
+            with pytest.raises((ProtocolError, TransportError)):
+                stub.handle(request)
 
 
 class TestFailover:
@@ -234,26 +298,18 @@ class TestFailover:
         assert isinstance(excinfo.value.causes[0], ReplicaTimeoutError)
 
     def test_transport_level_faults_fail_over_too(self):
-        from repro.bench.apps import build_dots_backend, default_config
-        from repro.datagen.synthetic import tiny_spec
         from repro.serving.transport import TransportService
 
-        stack = build_dots_backend(
-            tiny_spec("uniform", num_points=300, seed=3),
-            config=default_config(viewport=256),
-        )
-        request = DataRequest(
-            app_name=stack.compiled.app_name, canvas_id="dots", layer_index=0,
-            granularity="box", xmin=0.0, ymin=0.0, xmax=200.0, ymax=200.0,
-        )
+        stack, request = _dots_stack_and_request()
         healthy = TransportService(stack.backend.query_service())
         broken = TransportService(stack.backend.query_service())
         broken.stub.transport = FaultInjectingTransport(
-            broken.transport, FaultSchedule([FaultRule(kind="corrupt", op="roundtrip")])
+            broken.transport, FaultSchedule([FaultRule(kind="corrupt", op="exchange")])
         )
         service = ReplicaService([broken, healthy], policy="round_robin")
         expected = stack.backend.handle(request)
-        # Wire corruption on replica 0 is caught and failed over, every time.
+        # A corrupted binary reply on replica 0 is caught and failed over,
+        # every time.
         for _ in range(2):
             assert _payload_bytes(service.handle(request)) == _payload_bytes(expected)
         assert service.stats.failures_for(0) == service.stats.requests_for(0) > 0

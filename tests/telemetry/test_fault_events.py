@@ -27,8 +27,8 @@ class _EchoService:
 
 
 class _EchoTransport:
-    def roundtrip(self, payload: str) -> str:
-        return payload
+    def exchange(self, codec: str, body: bytes) -> tuple[str, bytes]:
+        return codec, body
 
     def close(self) -> None:
         pass
@@ -80,11 +80,11 @@ class TestServiceSeam:
 class TestTransportSeam:
     def test_transport_faults_are_events_too(self, tracer):
         injector = FaultInjectingTransport(
-            _EchoTransport(), FaultSchedule.fail_nth(0, op="roundtrip")
+            _EchoTransport(), FaultSchedule.fail_nth(0, op="exchange")
         )
         with pytest.raises(InjectedFaultError):
             with tracer.span("rpc", op="handle"):
-                injector.roundtrip("{}")
+                injector.exchange("json", b"{}")
         ((span_name, event),) = _fault_events(tracer)
         assert span_name == "rpc"
         assert event["seam"] == "transport"
@@ -92,8 +92,8 @@ class TestTransportSeam:
 
     def test_disabled_tracing_injects_without_events(self, disabled_tracer):
         injector = FaultInjectingTransport(
-            _EchoTransport(), FaultSchedule.fail_nth(0, op="roundtrip")
+            _EchoTransport(), FaultSchedule.fail_nth(0, op="exchange")
         )
         with pytest.raises(InjectedFaultError):
-            injector.roundtrip("{}")
+            injector.exchange("json", b"{}")
         assert disabled_tracer.traces() == []
